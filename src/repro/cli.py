@@ -31,14 +31,6 @@ Commands
     rotation.  Byte-stable reports, paste-ready replay lines — the
     corgi twin of ``schedck``.
 
-``policyck``
-    Differential policy-conformance battery: every registered
-    dispatch/placement policy (``repro.parallel.policy``) runs the
-    conformance programs on the threaded and mp engines and must
-    match the sequential reference byte for byte.  ``--policies``,
-    ``--engines``, ``--programs`` select a sub-matrix; failures print
-    paste-ready replay lines.
-
 ``trace FILE|BUILTIN``
     Run a program under the :mod:`repro.obs` event bus; write a
     Chrome-trace JSON file (load it at https://ui.perfetto.dev) and
@@ -121,22 +113,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     engine_opts: dict = {}
     if args.engine in ("threaded", "mp"):
         engine_opts["n_workers"] = args.workers
-        if args.policy is not None:
-            from .parallel.policy import POLICY_NAMES
-
-            if args.policy not in POLICY_NAMES:
-                raise SystemExit(
-                    f"repro run: unknown policy {args.policy!r}; expected "
-                    f"one of {', '.join(POLICY_NAMES)}"
-                )
-            engine_opts["policy"] = args.policy
         if args.watchdog:
             engine_opts["watchdog_s"] = args.watchdog
             engine_opts["watchdog_dump"] = args.watchdog_dump
-    elif args.policy is not None:
-        raise SystemExit(
-            "repro run: --policy needs --engine threaded or mp"
-        )
     elif args.watchdog:
         raise SystemExit(
             "repro run: --watchdog needs --engine threaded or mp"
@@ -270,7 +249,6 @@ def cmd_schedck(args: argparse.Namespace) -> int:
             n_queues=args.queues,
             lock_scheme=args.locks,
             n_lines=args.lines,
-            dispatch=args.dispatch,
         )
         report = run_schedule(
             args.seed, config=config, policy_spec=args.policy,
@@ -280,39 +258,6 @@ def cmd_schedck(args: argparse.Namespace) -> int:
         raise SystemExit(f"repro schedck: {exc}")
     print(report.format())
     return 0 if report.ok and not report.truncated else 1
-
-
-def cmd_policyck(args: argparse.Namespace) -> int:
-    from .parallel.policy import POLICY_NAMES
-    from .parallel.policyck import PROGRAMS, POLICY_ENGINES, run_battery
-
-    for policy in args.policies or ():
-        if policy not in POLICY_NAMES:
-            raise SystemExit(
-                f"repro policyck: unknown policy {policy!r}; expected "
-                f"one of {', '.join(POLICY_NAMES)}"
-            )
-    for engine in args.engines or ():
-        if engine not in POLICY_ENGINES:
-            raise SystemExit(
-                f"repro policyck: engine {engine!r} takes no policy; "
-                f"expected one of {', '.join(POLICY_ENGINES)}"
-            )
-    for name in args.programs or ():
-        if name not in PROGRAMS:
-            raise SystemExit(
-                f"repro policyck: unknown program {name!r}; expected "
-                f"one of {', '.join(sorted(PROGRAMS))}"
-            )
-    result = run_battery(
-        programs=args.programs or None,
-        engines=args.engines or None,
-        policies=args.policies or None,
-        n_workers=args.workers,
-        n_queues=args.queues,
-    )
-    print(result.format())
-    return 0 if result.ok else 1
 
 
 def cmd_corgick(args: argparse.Namespace) -> int:
@@ -889,10 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="task queues for --engine threaded")
     p_run.add_argument("--run-locks", choices=["simple", "mrsw"], default="simple",
                        dest="locks", help="line-lock scheme for --engine threaded")
-    p_run.add_argument("--policy", default=None,
-                       help="dispatch/placement policy for --engine "
-                            "threaded/mp (round-robin, affinity, "
-                            "least-loaded, work-stealing, rebalance)")
     p_run.add_argument("--max-cycles", type=int, default=100000)
     p_run.add_argument("--stats", action="store_true")
     p_run.add_argument("--trace", action="store_true")
@@ -936,11 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sck.add_argument("--queues", type=int, default=1)
     p_sck.add_argument("--locks", choices=["simple", "mrsw"], default="simple")
     p_sck.add_argument("--lines", type=int, default=64)
-    p_sck.add_argument("--dispatch", default="round-robin",
-                       help="task-dispatch policy (round-robin, affinity, "
-                            "least-loaded, work-stealing, rebalance) — "
-                            "distinct from --policy, which picks the "
-                            "thread schedule")
     p_sck.add_argument("--workload", default=None, metavar="NAME",
                        help="replay a pinned workload (deep-chain, "
                             "conjugate-storm) instead of generating one "
@@ -960,23 +896,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cck.add_argument("--sweep", type=int, default=0, metavar="N",
                        help="fuzz N consecutive seeds")
     p_cck.set_defaults(func=cmd_corgick)
-
-    p_pck = sub.add_parser(
-        "policyck",
-        help="differential policy battery: every dispatch/placement "
-             "policy must match sequential byte for byte",
-    )
-    p_pck.add_argument("--policies", nargs="*", metavar="POLICY",
-                       help="policies to check (default: all registered)")
-    p_pck.add_argument("--engines", nargs="*", metavar="ENGINE",
-                       help="threaded and/or mp (default: all supported)")
-    p_pck.add_argument("--programs", nargs="*", metavar="NAME",
-                       help="conformance programs (default: all eight)")
-    p_pck.add_argument("--workers", type=int, default=2)
-    p_pck.add_argument("--queues", type=int, default=None,
-                       help="threaded queue-count override (default: the "
-                            "per-policy safe-queue matrix)")
-    p_pck.set_defaults(func=cmd_policyck)
 
     def _engine_flags(p: argparse.ArgumentParser, obs_flags: bool = True) -> None:
         p.add_argument("--engine", choices=list(ENGINE_NAMES),

@@ -17,15 +17,13 @@ Engines:
     with per-line locks.  Demonstrates the paper's synchronization
     design under real interleavings but no speedup under the GIL.
     Options: ``n_workers``, ``n_queues``, ``lock_scheme``, ``n_lines``,
-    ``policy`` (task dispatch, :data:`repro.parallel.policy.POLICY_NAMES`),
     ``watchdog_s``/``watchdog_dump`` (stall watchdog).
 
 ``mp``
     :class:`~repro.parallel.mp.engine.ProcessMatcher` —
     process-per-worker with shard-routed lines; the backend that can
     actually use multiple CPUs.  Options: ``n_workers``, ``n_lines``,
-    ``policy`` (shard placement), ``watchdog_s``/``watchdog_dump``
-    (stall watchdog).
+    ``watchdog_s``/``watchdog_dump`` (stall watchdog).
     Requires the ``fork`` start method (see :func:`mp_supported`).
 
 ``corgi``
@@ -63,7 +61,6 @@ def make_matcher(
     n_workers: int = 2,
     n_queues: Optional[int] = None,
     lock_scheme: str = "simple",
-    policy: Optional[str] = None,
     recorder=None,
     watchdog_s: Optional[float] = None,
     watchdog_dump: Optional[str] = None,
@@ -71,15 +68,14 @@ def make_matcher(
     """Build the named match backend over a compiled ``network``.
 
     Unknown names raise ``ValueError`` listing the valid ones, so CLI
-    and serve-layer validation can simply try and re-raise.  ``policy``
-    (a :data:`repro.parallel.policy.POLICY_NAMES` name) only applies to
-    the parallel engines — passing one to sequential/corgi is an error
-    rather than a silent no-op.
+    and serve-layer validation can simply try and re-raise.  Only the
+    sequential engine records a task DAG for the simulator, so a
+    ``recorder`` for any other engine is an error rather than a silent
+    no-op (the simulator would replay an empty DAG).
     """
-    if policy is not None and engine not in ("threaded", "mp"):
+    if recorder is not None and engine != "sequential":
         raise ValueError(
-            f"policy {policy!r} requires a parallel engine (threaded or mp), "
-            f"not {engine!r}"
+            f"recorder requires the sequential engine, not {engine!r}"
         )
     if engine == "sequential":
         from .rete.matcher import SequentialMatcher
@@ -96,7 +92,6 @@ def make_matcher(
             n_queues=n_queues if n_queues is not None else 1,
             lock_scheme=lock_scheme,
             n_lines=n_lines,
-            policy=policy if policy is not None else "round-robin",
             watchdog_s=watchdog_s,
             watchdog_dump=watchdog_dump,
         )
@@ -107,7 +102,6 @@ def make_matcher(
             network,
             n_workers=n_workers,
             n_lines=n_lines,
-            policy=policy if policy is not None else "round-robin",
             watchdog_s=watchdog_s,
             watchdog_dump=watchdog_dump,
         )

@@ -1,10 +1,9 @@
 """The stall watchdog: no-progress detection for the parallel engines.
 
-The documented failure mode it exists for: the threaded engine's
-multi-queue rubik livelock — tasks queued, TaskCount stuck above zero,
-every worker spinning — which until now could only be *found* offline
-by schedck, never diagnosed in a live run.  The watchdog turns that
-(and any future cousin) into a reproducible, self-describing dump.
+The failure mode it exists for: tasks queued, TaskCount stuck above
+zero, every worker spinning — which otherwise could only be *found*
+offline by schedck, never diagnosed in a live run.  The watchdog turns
+such a stall into a reproducible, self-describing dump.
 
 Mechanics: a daemon thread samples a *probe* — a cheap callable the
 engine supplies returning :class:`ProbeSample` (cumulative tasks done,

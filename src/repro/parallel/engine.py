@@ -14,7 +14,9 @@ One *control process* (the caller's thread, i.e. the interpreter) and
 The control thread pushes one root task per WM change and then waits
 for ``TaskCount`` to reach zero, exactly as in §3.2; match threads loop
 pop → process → push, with every memory-touching activation bracketed
-by its line's lock.
+by its line's lock.  Each batch runs in two phases — every ``-`` change
+to quiescence, then every ``+`` change — so no join ever sees both the
+old and the new WME of one modify (see :meth:`ParallelMatcher.process_changes`).
 
 **Honesty note on speed**: under CPython's GIL this engine demonstrates
 the *correctness* of the synchronization design (identical conflict
@@ -48,7 +50,6 @@ from ..rete.token import Token
 from .conjugate import ConjugateMemory
 from .hooks import thread_exit, yield_point
 from .locks import LockStats, make_line_locks, set_holder_tracking
-from .policy import make_policy
 from .taskqueue import TaskCount, TaskQueueSet
 
 _POISON = ("poison",)
@@ -59,11 +60,10 @@ class ParallelMatcher:
 
     Parameters mirror the paper's experimental axes: ``n_workers`` (the
     "k" of "1+k"), ``n_queues`` (1–8), ``lock_scheme`` ('simple' or
-    'mrsw'), ``n_lines`` (hash-table size), plus ``policy`` — the task
-    dispatch policy from :mod:`repro.parallel.policy` deciding which
-    queue each push lands on (and whether pops steal).  Multi-queue
-    runs need a line-affinity policy on modify-heavy programs; see
-    :data:`repro.parallel.policy.SAFE_QUEUE_MATRIX`.
+    'mrsw') and ``n_lines`` (hash-table size).  Dispatch is work
+    stealing: a worker pushes the tasks it spawns to its own queue, the
+    control process deals root tasks round-robin, and an idle worker
+    pops its home queue first, then steals from its peers.
     """
 
     #: Conflict-set deltas arrive unordered; the interpreter must use a
@@ -77,7 +77,6 @@ class ParallelMatcher:
         n_queues: int = 1,
         lock_scheme: str = "simple",
         n_lines: int = 256,
-        policy: str = "round-robin",
         watchdog_s: Optional[float] = None,
         watchdog_dump: Optional[str] = None,
     ) -> None:
@@ -88,9 +87,6 @@ class ParallelMatcher:
         self.memory = ConjugateMemory(HashMemorySystem(n_lines=n_lines))
         self.line_locks = make_line_locks(lock_scheme, n_lines)
         self.queues = TaskQueueSet(n_queues)
-        self.policy = make_policy(policy)
-        self._steals = self.policy.steals
-        self._last_rebalances = 0
         self.taskcount = TaskCount()
         self.n_workers = n_workers
         self._ctxs = [
@@ -98,7 +94,6 @@ class ParallelMatcher:
         ]
         self._shutdown = False
         self._failures: List[BaseException] = []
-        self._push_seq = 0
         #: Wall-clock seconds spent inside match, mirroring
         #: ``SequentialMatcher.match_seconds`` so ``--stats`` and the
         #: perf scenarios read every engine the same way.
@@ -158,21 +153,26 @@ class ParallelMatcher:
         # flag only gates instrumentation granularity.
         for ctx in self._ctxs:
             ctx.tracing = obs_on
-        for change in changes:
-            self.taskcount.increment()
-            # Root WM changes have no hash line yet (alpha dispatch
-            # assigns one to each derived activation); the policy sees
-            # line=None, pusher=None (the control process).
-            self._dispatch(("change", change.sign, change.wme, meta), None, None)
-        # The control process becomes idle and waits for the match
-        # processes to finish (TaskCount == 0).
+        # Two phases: every delete to quiescence, then every add.  A
+        # join that saw a modify's old and new WME at once would
+        # multiply tokens at every chain level; the interpreter applies
+        # the deltas only after the whole batch, so the split is free.
         if obs_on:
             wait_t0 = _obs.now()
-        while not self.taskcount.zero:
+        for sign in (-1, 1):
+            for change in changes:
+                if change.sign == sign:
+                    self.taskcount.increment()
+                    self.queues.push(("change", sign, change.wme, meta))
+            # The control process becomes idle and waits for the match
+            # processes to finish (TaskCount == 0).
+            while not self.taskcount.zero:
+                if self._failures:
+                    break
+                yield_point("quiesce_wait", self.taskcount)
+                time.sleep(0)
             if self._failures:
                 break
-            yield_point("quiesce_wait", self.taskcount)
-            time.sleep(0)
         if obs_on:
             t1 = _obs.now()
             _obs.span(
@@ -199,11 +199,6 @@ class ParallelMatcher:
             raise RuntimeError(
                 f"{self.memory.pending_deletes} conjugate deletes left parked"
             )
-        if obs_on:
-            rebalances = self.policy.rebalances
-            if rebalances > self._last_rebalances:
-                _obs.count("policy.rebalance", rebalances - self._last_rebalances)
-            self._last_rebalances = rebalances
         self.match_seconds += perf_counter() - match_t0
         return deltas
 
@@ -217,7 +212,7 @@ class ParallelMatcher:
         if self._holder_tracking:
             set_holder_tracking(False)
         for _ in self._threads:
-            self.queues.push(_POISON, home=self._next_home())
+            self.queues.push(_POISON)
         for t in self._threads:
             t.join(timeout=10.0)
 
@@ -226,29 +221,6 @@ class ParallelMatcher:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _next_home(self) -> int:
-        self._push_seq += 1
-        return self._push_seq
-
-    def _dispatch(self, task, line: Optional[int], pusher: Optional[int]) -> None:
-        """Push one task to the queue the dispatch policy selects."""
-        home = self.policy.home_for(line, pusher, self._next_home(), self.queues.views)
-        self.queues.push(task, home=home)
-
-    def policy_counters(self) -> dict:
-        """Policy-layer telemetry: steal/rebalance totals and the queue
-        imbalance high-water mark, alongside push/pop conservation
-        counts (pushed == popped once quiescent and closed)."""
-        return {
-            "policy": self.policy.name,
-            "n_queues": self.queues.n_queues,
-            "pushed": self.queues.pushed,
-            "popped": self.queues.popped,
-            "steals": self.queues.stolen,
-            "rebalances": self.policy.rebalances,
-            "max_queue_depth": self.queues.max_depth,
-        }
 
     def _watchdog_probe(self) -> ProbeSample:
         """Cheap point-in-time progress reading for the stall watchdog
@@ -274,10 +246,7 @@ class ParallelMatcher:
                 "workers_alive": sum(t.is_alive() for t in self._threads),
                 "n_workers": self.n_workers,
                 "failures": len(self._failures),
-                "policy": self.policy.name,
                 "steals": self.queues.stolen,
-                "rebalances": self.policy.rebalances,
-                "max_queue_depth": self.queues.max_depth,
             },
         )
 
@@ -320,7 +289,7 @@ class ParallelMatcher:
         ctx = self._ctxs[wid]
         try:
             while True:
-                task = self.queues.pop(home=wid, steal=self._steals)
+                task = self.queues.pop(home=wid)
                 if task is None:
                     if self._shutdown:
                         return
@@ -392,20 +361,9 @@ class ParallelMatcher:
             # Re-stamp the push time so child queue-wait measures this
             # push, not the ancestor's (one tuple per sibling group).
             meta = (meta[0], _obs.now())
-        need_line = self.policy.needs_line
         for child in children:
-            line = None
-            if need_line:
-                node = child.node
-                if node.uses_line():
-                    # Line-affinity routing pays one extra key hash per
-                    # push; the processing side recomputes it under the
-                    # line lock anyway.
-                    line = self.memory.line_of(
-                        node.node_id, node.key_for(child.side, child.token)
-                    )
             self.taskcount.increment()
-            self._dispatch(("act", child, meta), line, wid)
+            self.queues.push(("act", child, meta), home=wid)
 
     def _do_change(self, ctx: MatchContext, wid: int, task) -> None:
         _kind, sign, wme, meta = task
@@ -439,7 +397,7 @@ class ParallelMatcher:
             # MRSW: tokens from the other side are being processed on
             # this line — put the task back on a queue and move on.
             self.taskcount.increment()
-            self._dispatch(task, line if self.policy.needs_line else None, wid)
+            self.queues.push(task, home=wid)
             return None
         try:
             if isinstance(node, JoinNode):

@@ -24,49 +24,29 @@ from __future__ import annotations
 from typing import Tuple
 
 from ...rete.memories import stable_hash
-from ..policy import make_policy
 
 
 class ShardMap:
     """Deterministic ``(node_id, key) -> line -> owner worker`` map.
 
     ``n_lines`` mirrors the hash-table size of the memory systems;
-    ``n_workers`` is the number of match processes.  How lines are
-    dealt to workers is the placement half of a
-    :class:`~repro.parallel.policy.Policy`: round-robin interleaving
-    (the historical default — consecutive lines on distinct workers)
-    or contiguous blocks (the affinity/rebalance layout — neighbouring
-    lines share a worker).  Placement is resolved to a flat owners
-    tuple at construction, so forked workers inherit the finished map
-    and every process agrees by construction.
+    ``n_workers`` is the number of match processes.  Lines are dealt
+    to workers interleaved — ``owner = line % n_workers``, so
+    consecutive lines sit on distinct workers.  The owners are resolved
+    to a flat tuple at construction (one index per routed activation),
+    so forked workers inherit the finished map.
     """
 
-    __slots__ = ("n_lines", "n_workers", "policy_name", "_owners")
+    __slots__ = ("n_lines", "n_workers", "_owners")
 
-    def __init__(
-        self, n_lines: int, n_workers: int, policy: str = "round-robin"
-    ) -> None:
+    def __init__(self, n_lines: int, n_workers: int) -> None:
         if n_lines < 1:
             raise ValueError("n_lines must be >= 1")
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_lines = n_lines
         self.n_workers = n_workers
-        pol = make_policy(policy)
-        self.policy_name = pol.name
-        owners = tuple(pol.place_lines(n_lines, n_workers))
-        if len(owners) != n_lines:
-            raise ValueError(
-                f"policy {pol.name!r} placed {len(owners)} lines, "
-                f"expected {n_lines}"
-            )
-        bad = [o for o in owners if not 0 <= o < n_workers]
-        if bad:
-            raise ValueError(
-                f"policy {pol.name!r} placed lines on workers {sorted(set(bad))} "
-                f"outside 0..{n_workers - 1}"
-            )
-        self._owners = owners
+        self._owners = tuple(line % n_workers for line in range(n_lines))
 
     def line_of(self, node_id: int, key: tuple) -> int:
         """The hash line ``(node_id, key)`` lives on — identical to
@@ -74,7 +54,7 @@ class ShardMap:
         return stable_hash((node_id, key)) % self.n_lines
 
     def owner_of_line(self, line: int) -> int:
-        """The worker owning ``line`` (per the placement policy)."""
+        """The worker owning ``line``."""
         return self._owners[line]
 
     def route(self, node_id: int, key: tuple) -> int:
@@ -85,14 +65,11 @@ class ShardMap:
         """All lines owned by worker ``wid`` (for partition checks)."""
         if not 0 <= wid < self.n_workers:
             raise ValueError(f"worker id {wid} out of range")
-        return tuple(
-            line for line, owner in enumerate(self._owners) if owner == wid
-        )
+        return tuple(range(wid, self.n_lines, self.n_workers))
 
     def lines_per_worker(self) -> Tuple[int, ...]:
-        """Owned-line counts by worker — the placement-imbalance probe
-        (a sane policy keeps ``max - min <= 1``)."""
-        counts = [0] * self.n_workers
-        for owner in self._owners:
-            counts[owner] += 1
-        return tuple(counts)
+        """Owned-line counts by worker (``max - min <= 1``)."""
+        return tuple(
+            len(range(wid, self.n_lines, self.n_workers))
+            for wid in range(self.n_workers)
+        )

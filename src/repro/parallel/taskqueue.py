@@ -2,11 +2,12 @@
 
 Tasks — tokens tagged with the destination node and input side — wait
 on one or more central task queues, each guarded by a
-:class:`~repro.parallel.locks.SpinLock`.  With multiple queues a
-process pushes to the queues round-robin and pops from its *home*
-queue first, scanning the others when it is empty; this is the
-multiple-task-queue configuration that lifted Weaver from 3.9× to 8.2×
-in Table 4-6.
+:class:`~repro.parallel.locks.SpinLock`.  With multiple queues dispatch
+is work stealing: a match process pushes the tasks it spawns to its
+*home* queue, the control process deals root tasks round-robin, and a
+pop takes from the home queue first, scanning (stealing from) the
+others when it is empty; this is the multiple-task-queue configuration
+that lifted Weaver from 3.9× to 8.2× in Table 4-6.
 
 ``TaskCount`` is the global counter holding (tasks queued) + (tasks in
 process); match is finished when it reaches zero.
@@ -76,48 +77,39 @@ class TaskQueueSet:
         self.n_queues = n_queues
         self._queues: List[List[Any]] = [[] for _ in range(n_queues)]
         self._locks = [SpinLock(label="queue") for _ in range(n_queues)]
-        #: Read-only view of the queue lists for dispatch policies —
-        #: only ``len(views[i])`` may be read without a lock.
-        self.views = self._queues
-        # Conservation counters for the policy layer, always on (plain
-        # int bumps under the GIL; racy lost updates are possible under
-        # free threading but they only feed heuristics and tests that
-        # drive the queues single-threaded).
+        # Conservation counters, always on (plain int bumps under the
+        # GIL; racy lost updates are possible under free threading but
+        # they only feed telemetry and tests that drive the queues
+        # single-threaded).
         self.pushed = 0
         self.popped = 0
+        self._dealt = 0
         #: Pops satisfied from a non-home queue — the steal counter.
         self.stolen = 0
-        #: Deepest any single queue has ever been — the imbalance probe.
-        self.max_depth = 0
 
-    def push(self, task: Any, home: int = 0) -> None:
-        """Push ``task``; ``home`` selects the queue (mod n_queues)."""
+    def push(self, task: Any, home: Optional[int] = None) -> None:
+        """Push ``task`` to queue ``home`` (mod n_queues) — the pushing
+        worker's own queue; ``None`` (the control process) deals the
+        queues round-robin."""
         yield_point("queue_push", task)
+        if home is None:
+            self._dealt += 1
+            home = self._dealt
         qi = home % self.n_queues
         with self._locks[qi]:
             self._queues[qi].append(task)
             depth = len(self._queues[qi])
         self.pushed += 1
-        if depth > self.max_depth:
-            self.max_depth = depth
         if _obs.ENABLED:
             _obs.count("queue.push")
             if depth * self.n_queues > 2 * len(self):
-                # This queue holds more than twice its fair share —
-                # the imbalance counter the rebalancing policy exists
-                # to keep near zero.
+                # This queue holds more than twice its fair share.
                 _obs.count("queue.push_imbalanced")
 
-    def pop(self, home: int = 0, steal: bool = True) -> Optional[Any]:
-        """Pop from the home queue, else scan the others; None if all empty.
-
-        ``steal=False`` restricts the pop to the home queue (a policy
-        that forbids stealing); the default scans every queue so no
-        task can be stranded.
-        """
+    def pop(self, home: int = 0) -> Optional[Any]:
+        """Pop from the home queue, else scan the others; None if all empty."""
         yield_point("queue_pop", home)
-        n = self.n_queues if steal else 1
-        for offset in range(n):
+        for offset in range(self.n_queues):
             qi = (home + offset) % self.n_queues
             queue = self._queues[qi]
             if not queue:

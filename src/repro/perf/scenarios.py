@@ -511,90 +511,6 @@ def _full_sim_sweeps() -> RepResult:
     return RepResult(metrics=metrics)
 
 
-def _policy_metric_key(policy: str) -> str:
-    return policy.replace("-", "_")
-
-
-def _policy_sim_sweep(source: str) -> RepResult:
-    """Simulated Multimax speedups under every dispatch policy.
-
-    One trace, one simulator configuration (7 match procs, 8 queues),
-    five dispatch policies — the axis Table 4-6 varies by hand
-    (queue count) generalised to the policy registry.  Everything is
-    deterministic (instruction counts, steal and rebalance totals), so
-    the whole matrix feeds the cross-machine stable gate."""
-    from ..ops5.interpreter import Interpreter
-    from ..parallel.policy import POLICY_NAMES
-    from ..rete.trace import TraceRecorder
-    from ..simulator.engine import simulate
-
-    recorder = TraceRecorder()
-    interp = Interpreter(source, recorder=recorder)
-    interp.run(max_cycles=50000)
-    trace = recorder.trace
-
-    base = simulate(trace, n_match=1, n_queues=1, lock_scheme="simple",
-                    pipelined=False)
-    metrics: Dict[str, float] = {}
-    for policy in POLICY_NAMES:
-        run = simulate(trace, n_match=7, n_queues=8, lock_scheme="simple",
-                       policy=policy)
-        key = _policy_metric_key(policy)
-        metrics[f"{key}_speedup_1p7_8q"] = base.match_instr / run.match_instr
-        metrics[f"{key}_steals"] = float(run.steals)
-        if policy == "rebalance":
-            metrics["rebalance_spills"] = float(run.rebalances)
-    return RepResult(metrics=metrics, network=interp.network)
-
-
-def _policy_sweep_weaver() -> RepResult:
-    return _policy_sim_sweep(_smoke_source())
-
-
-def _policy_sweep_tourney() -> RepResult:
-    from ..programs import tourney
-
-    return _policy_sim_sweep(tourney.source(n_teams=8, n_rounds=12))
-
-
-#: Threaded wall matrix needs real concurrency to say anything.
-_POLICY_WALL_MIN_CPUS = 2
-
-
-def _policy_wall_precondition() -> Optional[str]:
-    cpus = os.cpu_count() or 1
-    if cpus < _POLICY_WALL_MIN_CPUS:
-        return (f"host has {cpus} CPU(s); threaded policy walls need "
-                f">= {_POLICY_WALL_MIN_CPUS}")
-    return None
-
-
-def _policy_wall_threaded() -> RepResult:
-    """Wall seconds of the threaded engine under each dispatch policy,
-    each at its conformance-safe queue count (SAFE_QUEUE_MATRIX)."""
-    from ..ops5.interpreter import Interpreter
-    from ..parallel.policy import POLICY_NAMES, safe_queues
-
-    source = _smoke_source()
-    metrics: Dict[str, float] = {}
-    network = None
-    for policy in POLICY_NAMES:
-        interp = Interpreter(
-            source, engine="threaded",
-            engine_opts={"n_workers": 2, "n_queues": safe_queues(policy),
-                         "policy": policy},
-        )
-        started = perf_counter()
-        try:
-            interp.run(max_cycles=50000)
-        finally:
-            interp.close()
-        metrics[f"{_policy_metric_key(policy)}_wall_s"] = (
-            perf_counter() - started)
-        network = interp.network
-    return RepResult(metrics=metrics, network=network)
-
-
 def _full_serve_throughput() -> RepResult:
     from ..serve.loadgen import run_loadgen
 
@@ -821,54 +737,6 @@ _register(Scenario(
     ),
     run=_full_sim_sweeps,
     profiled=False,
-))
-
-def _policy_sweep_specs() -> Tuple[MetricSpec, ...]:
-    """Stable per-policy metric block shared by both policy sweeps."""
-    from ..parallel.policy import POLICY_NAMES
-
-    specs = []
-    for policy in POLICY_NAMES:
-        key = _policy_metric_key(policy)
-        specs.append(_stable(f"{key}_speedup_1p7_8q", "x", "higher",
-                             headline=(policy == "rebalance")))
-        specs.append(_stable(f"{key}_steals", "count", "lower"))
-    specs.append(_stable("rebalance_spills", "count", "lower"))
-    return tuple(specs)
-
-
-_register(Scenario(
-    scenario_id="policy-sweep",
-    title="Dispatch-policy matrix, simulated Multimax, weaver 5x5, 7p/8q",
-    suites=("smoke", "full"),
-    specs=_policy_sweep_specs(),
-    run=_policy_sweep_weaver,
-    profiled=False,
-))
-
-_register(Scenario(
-    scenario_id="policy-sweep-tourney",
-    title="Dispatch-policy matrix, simulated Multimax, tourney 8x12, 7p/8q",
-    suites=("full",),
-    specs=_policy_sweep_specs(),
-    run=_policy_sweep_tourney,
-    profiled=False,
-))
-
-_register(Scenario(
-    scenario_id="policy-wall-threaded",
-    title="Threaded walls per dispatch policy at safe queue counts, weaver 5x5",
-    suites=("full",),
-    specs=tuple(
-        _wall(f"{_policy_metric_key(p)}_wall_s",
-              headline=(p == "round-robin"))
-        for p in ("round-robin", "affinity", "least-loaded",
-                  "work-stealing", "rebalance")
-    ),
-    run=_policy_wall_threaded,
-    profiled=False,
-    repeat=1,
-    precondition=_policy_wall_precondition,
 ))
 
 _register(Scenario(

@@ -24,8 +24,7 @@ Three families, per the harness design:
   (``starve-worker``).
 * :class:`BurstPolicy` — timeslice emulation (``burst:<quantum>``):
   each thread runs a long run of consecutive decisions, the shape a
-  preemptive interpreter actually produces, and the one that sustains
-  the multi-queue conjugate amplification.
+  preemptive interpreter actually produces.
 
 Every policy carries the same livelock guard: a thread parked at a
 *waiting* label (spin, idle, quiescence poll — see
@@ -130,11 +129,9 @@ class BurstPolicy(_GuardMixin):
     maximal interleaving — which lets conjugate ``+``/``-`` twins
     annihilate almost as soon as they meet.  A preemptive interpreter
     does the opposite: each thread owns the core for a long slice and
-    drains its own LIFO queue alone.  That burst shape is what sustains
-    the multi-queue conjugate amplification (each generation of a
-    split pair multiplies before its delete half is serviced), so this
-    family is the one that reproduces the rubik livelock inside the
-    deterministic harness (``tests/schedck/test_rubik_livelock.py``).
+    drains its own LIFO queue alone.  That burst shape is what once
+    sustained the multi-queue conjugate amplification of rubik, so
+    ``tests/schedck/test_rubik_livelock.py`` pins its fix under it.
     """
 
     def __init__(self, seed: int, quantum: int = 100) -> None:

@@ -25,7 +25,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..ops5.parser import parse_program
 from ..ops5.wme import WMEChange
 from ..parallel.engine import ParallelMatcher
-from ..parallel.policy import SAFE_QUEUE_MATRIX
 from ..rete.matcher import SequentialMatcher
 from ..rete.network import ReteNetwork
 from . import progen
@@ -42,48 +41,26 @@ from .scheduler import CooperativeScheduler, HarnessSession
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """One point on the paper's experimental axes.
-
-    ``dispatch`` is the task-dispatch policy
-    (:data:`repro.parallel.policy.POLICY_NAMES`) — *which queue a push
-    lands on* — and is deliberately a separate axis from the harness's
-    thread-schedule policy (``--policy``), which decides *which thread
-    runs next*.  The same seed under the same thread schedule can be
-    replayed against different dispatch policies, which is how the
-    multi-queue livelock reproduction and its fixed twin differ by
-    exactly one knob (``tests/schedck/test_rubik_livelock.py``).
-    """
+    """One point on the paper's experimental axes."""
 
     n_workers: int = 2
     n_queues: int = 1
     lock_scheme: str = "simple"
     n_lines: int = 64
-    dispatch: str = "round-robin"
 
     def describe(self) -> str:
-        base = (
+        return (
             f"1+{self.n_workers}/{self.n_queues}q/"
             f"{self.lock_scheme}/{self.n_lines}l"
         )
-        # The historical default stays spelled the historical way so
-        # pinned report strings (and CI log greps) keep matching.
-        if self.dispatch != "round-robin":
-            base += f"/{self.dispatch}"
-        return base
 
 
-#: The acceptance-criteria grid: n_workers × n_queues × lock_scheme,
-#: plus one config per non-default dispatch policy at that policy's
-#: conformance-safe queue count (SAFE_QUEUE_MATRIX) so the sweep
-#: exercises every dispatch path under schedule fuzz.
+#: The acceptance-criteria grid: n_workers × n_queues × lock_scheme.
 DEFAULT_GRID: Tuple[EngineConfig, ...] = tuple(
     EngineConfig(n_workers=w, n_queues=q, lock_scheme=s)
     for w in (1, 2, 4)
     for q in (1, 4)
     for s in ("simple", "mrsw")
-) + tuple(
-    EngineConfig(n_workers=2, n_queues=SAFE_QUEUE_MATRIX[d], dispatch=d)
-    for d in ("affinity", "least-loaded", "work-stealing", "rebalance")
 )
 
 
@@ -101,11 +78,6 @@ class ScheduleReport:
     truncated: bool
     violations: List[Violation] = field(default_factory=list)
     stats: List[Tuple[str, object]] = field(default_factory=list)
-    #: Dispatch-policy counters (steals, rebalances).  Kept out of
-    #: :meth:`format`: steal attribution depends on pop/wakeup timing
-    #: even under the cooperative scheduler, so printing it would
-    #: break the byte-identical-report contract.
-    telemetry: List[Tuple[str, object]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -179,7 +151,6 @@ def run_schedule(
             n_queues=config.n_queues,
             lock_scheme=config.lock_scheme,
             n_lines=config.n_lines,
-            policy=config.dispatch,
         )
         try:
             for bi, batch in enumerate(batches):
@@ -212,10 +183,6 @@ def run_schedule(
         ("conjugate.annihilated", matcher.memory.annihilations),
         ("line_lock.requeues", matcher.line_lock_stats().requeues),
     ]
-    telemetry = [
-        ("queue.steals", matcher.queues.stolen),
-        ("policy.rebalances", matcher.policy.rebalances),
-    ]
     return ScheduleReport(
         seed=seed,
         policy=policy.name,
@@ -227,7 +194,6 @@ def run_schedule(
         truncated=scheduler.truncated,
         violations=violations,
         stats=stats,
-        telemetry=telemetry,
     )
 
 
@@ -268,7 +234,6 @@ class SweepResult:
                 f" --seed {report.seed} --policy {report.policy}"
                 f" --workers {cfg.n_workers} --queues {cfg.n_queues}"
                 f" --locks {cfg.lock_scheme} --lines {cfg.n_lines}"
-                f" --dispatch {cfg.dispatch}"
                 f" --max-steps {self.max_steps}"
             )
         if len(self.failures) > 20:

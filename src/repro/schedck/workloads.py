@@ -9,20 +9,20 @@ NAME``), so a failing pinned test prints a paste-ready command instead
 of "see the test file".
 
 ``deep-chain``
-    The 4-level chain whose *thread-schedule*-induced transient token
-    blow-up (delete halves of a modify delayed behind the add halves)
-    is pinned as a strict xfail in ``tests/schedck/test_deep_chain.py``.
+    The 4-level chain that once showed a transient token blow-up when
+    the delete halves of a modify were delayed behind the add halves
+    (``tests/schedck/test_deep_chain.py``).
 
 ``conjugate-storm``
-    The *dispatch*-induced sibling: a deeper chain driven through
-    repeated modify batches, so every batch floods the queues with
-    ``+``/``-`` conjugate twins — the rubik recognize-act cycle's
-    match-phase shape distilled to the smallest program that still
-    shows the multi-queue divergence.  Under the naive round-robin
-    dispatch at the livelock alignment (``n_queues == n_workers``) the
-    twins land on different queues and the parked-delete lists grow;
-    under the rebalancing dispatch the same thread schedule stays
-    clean (``tests/schedck/test_rubik_livelock.py``).
+    A deeper chain with a cross product per level, modified in one
+    batch — the rubik recognize-act cycle's match-phase shape
+    distilled.  It once livelocked the threaded engine at ``n_queues
+    == n_workers`` (``tests/schedck/test_rubik_livelock.py``).
+
+Both were defects of running a modify's two halves concurrently; the
+threaded engine now runs every batch's deletes to quiescence before
+its adds, and the two fixtures pin that match work stays at or below
+sequential.
 """
 
 from __future__ import annotations
@@ -63,10 +63,9 @@ def conjugate_storm_case(
     halves in flight at once, the way rubik's rotation productions
     churn the cube state every cycle.  ``width > 1`` gives every join
     level a cross product, so a delete half delayed behind its insert
-    half double-counts *width-fold* per level it lags — the
-    amplification that turns a reordered queue into a livelock.
+    half would double-count *width-fold* per level it lags.
 
-    The defaults are the pinned livelock shape of
+    The defaults are the pinned shape of
     ``tests/schedck/test_rubik_livelock.py``, so the registry entry
     replays it exactly."""
     wm = WorkingMemory()

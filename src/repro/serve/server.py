@@ -20,7 +20,6 @@ from time import perf_counter
 from typing import Any, Dict, Optional, Tuple
 
 from ..engines import ENGINE_NAMES, mp_supported
-from ..parallel.policy import POLICY_NAMES
 from ..obs import context as obs_context
 from ..obs import events as obs_events
 from ..obs import meter as obs_meter
@@ -330,33 +329,17 @@ class ReproServer:
             raise ProtocolError(
                 E_BAD_REQUEST, "tenant must be a non-empty string"
             )
-        policy = msg.get("policy")
-        if policy is not None:
-            if policy not in POLICY_NAMES:
-                raise ProtocolError(
-                    E_BAD_REQUEST,
-                    f"unknown policy {policy!r}; expected one of "
-                    f"{', '.join(POLICY_NAMES)}",
-                )
-            if engine not in ("threaded", "mp"):
-                raise ProtocolError(
-                    E_BAD_REQUEST,
-                    f"policy {policy!r} requires engine 'threaded' or 'mp'",
-                )
         if engine == "mp" and not mp_supported():
             raise ProtocolError(
                 E_BAD_REQUEST,
                 "engine 'mp' needs the 'fork' start method, which this "
                 "host lacks; use 'threaded' or 'sequential'",
             )
-        # Only the worker-pool engines take n_workers (and optionally a
-        # dispatch/placement policy); sequential and corgi are
-        # single-threaded by design.
+        # Only the worker-pool engines take n_workers; sequential and
+        # corgi are single-threaded by design.
         engine_opts: Optional[Dict[str, Any]] = None
         if engine in ("threaded", "mp"):
             engine_opts = {"n_workers": workers}
-            if policy is not None:
-                engine_opts["policy"] = policy
         if len(self.sessions) >= self.limits.max_sessions:
             self.metrics.rejected_busy += 1
             raise ProtocolError(

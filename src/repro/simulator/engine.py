@@ -32,7 +32,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..parallel.policy import POLICY_NAMES, make_policy
 from ..rete.trace import MatchTrace, TaskRecord
 from .locks import SimLock, SimMRSWLine, SpinStats
 from .machine import (
@@ -65,13 +64,6 @@ class SimOptions:
     pipelined: bool = True          # overlap match with RHS evaluation
     hardware_scheduler: bool = False
     overlap_cr: bool = False
-    #: Task-dispatch policy (:mod:`repro.parallel.policy`) — the same
-    #: registry the threaded engine consumes.  The default is
-    #: ``work-stealing`` because that *is* how this simulator always
-    #: dispatched (workers push spawned tasks to their home queue, the
-    #: control process deals round-robin, pops scan home-first): the
-    #: paper-table stable metrics are preserved bit for bit.
-    policy: str = "work-stealing"
 
     def __post_init__(self) -> None:
         if self.n_match < 1:
@@ -80,11 +72,6 @@ class SimOptions:
             raise ValueError("need at least one task queue")
         if self.lock_scheme not in ("simple", "mrsw"):
             raise ValueError(f"unknown lock scheme {self.lock_scheme!r}")
-        if self.policy not in POLICY_NAMES:
-            raise ValueError(
-                f"unknown policy {self.policy!r}; "
-                f"expected one of {', '.join(POLICY_NAMES)}"
-            )
 
 
 @dataclass
@@ -101,10 +88,6 @@ class SimResult:
     line_left: SpinStats = field(default_factory=SpinStats)
     line_right: SpinStats = field(default_factory=SpinStats)
     requeues: int = 0
-    #: Pops satisfied from a non-home queue (dispatch-policy telemetry).
-    steals: int = 0
-    #: Hot-queue spills made by the rebalancing policy.
-    rebalances: int = 0
 
     @property
     def match_seconds(self) -> float:
@@ -148,14 +131,7 @@ class EncoreSimulator:
         self._line_simple: Dict[int, SimLock] = {}
         self._line_mrsw: Dict[int, SimMRSWLine] = {}
         self._idle: List[int] = []          # parked processor ids (sorted)
-        self.policy = make_policy(options.policy)
-        # Two push-sequence streams: control pushes keep their own
-        # counter so the default (work-stealing) policy reproduces the
-        # pre-policy round-robin dealing exactly; worker pushes, whose
-        # queue the default policy picks by pusher id alone, advance a
-        # separate counter that only sequence-driven policies consume.
         self._push_rr = 0
-        self._seq_w = 0
         self._remaining = 0
         self._cycle_last_finish = 0.0
         self.result = SimResult(options=options, config=config)
@@ -174,32 +150,24 @@ class EncoreSimulator:
 
     # -- queue operations ------------------------------------------------------
 
-    def _push(self, t: float, entry, pusher: Optional[int] = None) -> float:
+    def _push(self, t: float, entry, home: Optional[int] = None) -> float:
         """One queue-lock acquisition + append; returns the pusher's
         time after the push completes.
 
-        The dispatch policy picks the queue from the task's hash line,
-        the pushing processor (``None`` for the control process), a
-        push sequence number, and the live queue depths — the same
-        decision the threaded engine makes on real queues.  Under the
-        hardware scheduler there is no lock and no wait: one
-        instruction hands the token to the dispatch unit."""
+        Workers push to their *home* queue (tokens they spawn are most
+        likely to be picked up by themselves, cache-warm); the control
+        process distributes its root tasks round-robin — the threaded
+        engine's work-stealing dispatch.  Under the hardware scheduler
+        there is no lock and no wait: one instruction hands the token
+        to the dispatch unit."""
         if self.options.hardware_scheduler:
             done = t + 1
             self._schedule(done, lambda now, entry=entry: self._append(now, 0, entry))
             return done
-        if pusher is None:
+        if home is None:
             self._push_rr += 1
-            seq = self._push_rr
-        else:
-            self._seq_w += 1
-            seq = self._seq_w
-        line = None
-        if self.policy.needs_line and entry[0] == "T":
-            traced_line = self._tasks[entry[1]].line
-            if traced_line >= 0:
-                line = traced_line
-        qi = self.policy.home_for(line, pusher, seq, self._queues) % self.options.n_queues
+            home = self._push_rr
+        qi = home % self.options.n_queues
         grant, spins = self._qlocks[qi].request(t, self.config.queue_push)
         self.result.queue_stats.acquisitions += 1
         self.result.queue_stats.spins += spins
@@ -246,8 +214,6 @@ class EncoreSimulator:
             # Raced with another processor; rescan.
             self._poll(pid, t)
             return
-        if qi != pid % self.options.n_queues:
-            self.result.steals += 1
         entry = queue.pop()
         self._execute(pid, entry, t)
 
@@ -292,7 +258,7 @@ class EncoreSimulator:
         if not admitted:
             self.result.requeues += 1
             self._line_side_requeue(task.side)
-            done = self._push(after + cfg.requeue_cost, entry, pusher=pid)
+            done = self._push(after + cfg.requeue_cost, entry, home=pid)
             self._poll(pid, done)
             return
         update, scan, build = task_cost_parts(task, cfg)
@@ -322,7 +288,7 @@ class EncoreSimulator:
         """Task body done at ``t``: push children, then look for more work."""
         now = t
         for tid in child_tids:
-            now = self._push(now, ("T", tid), pusher=pid)
+            now = self._push(now, ("T", tid), home=pid)
         self._remaining -= 1
         if now > self._cycle_last_finish:
             self._cycle_last_finish = now
@@ -407,7 +373,6 @@ class EncoreSimulator:
         self.result.cycles = len(self.trace.cycles)
         self.result.match_instr = total_match
         self.result.total_instr = clock
-        self.result.rebalances = self.policy.rebalances
         return self.result
 
     def _count_subtree(self, first_level: List[int]) -> int:
@@ -426,7 +391,6 @@ def simulate(
     n_queues: int = 1,
     lock_scheme: str = "simple",
     pipelined: bool = True,
-    policy: str = "work-stealing",
     config: MachineConfig = DEFAULT_CONFIG,
 ) -> SimResult:
     """Convenience wrapper: build and run one simulation."""
@@ -435,7 +399,6 @@ def simulate(
         n_queues=n_queues,
         lock_scheme=lock_scheme,
         pipelined=pipelined,
-        policy=policy,
     )
     return EncoreSimulator(trace, options, config).run()
 

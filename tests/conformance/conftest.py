@@ -22,7 +22,6 @@ import pytest
 
 from repro.ops5.interpreter import Interpreter
 from repro.ops5.parser import parse_program
-from repro.parallel.policy import POLICY_NAMES, SAFE_QUEUE_MATRIX
 from repro.programs import (
     blocks,
     crossfire,
@@ -34,42 +33,24 @@ from repro.programs import (
 )
 
 #: Engine name -> Interpreter(engine=..., engine_opts=...) selections.
-#: A new backend joins the conformance matrix by adding one line; a
-#: new dispatch policy joins it automatically via the registry loop
-#: below (and the registry-sync guard in test_conformance.py fails if
-#: the loop and :data:`repro.parallel.policy.POLICY_NAMES` drift).
+#: A new backend joins the conformance matrix by adding one line.
 #:
-#: The base threaded row runs its default round-robin dispatch on a
-#: single task queue; each other policy runs at its conformance-safe
-#: queue count from SAFE_QUEUE_MATRIX.  The per-policy counts replace
-#: the old blanket ``n_queues=1`` pin: at ``n_queues == n_workers``
-#: the rubik workloads livelock under dispatch policies without load
-#: feedback — conjugate ``+``/``-`` halves land on different LIFO
-#: queues and the amplification outruns annihilation (reproduced
-#: deterministically in ``tests/schedck/test_rubik_livelock.py``).
-#: ``mp@affinity`` covers the blocked shard placement, the other
-#: placement half of the same policy objects.
+#: The threaded engine runs at 1, 2 and 3 task queues with 2 workers:
+#: one shared queue, one dedicated home queue per worker, and a spare
+#: queue serviced only by steals.  Each batch's deletes run to
+#: quiescence before its adds, so every queue count holds — the rubik
+#: workloads once livelocked at ``n_queues == n_workers``.
 ENGINES = {
     "sequential": dict(engine="sequential", engine_opts={}),
     "threaded": dict(engine="threaded",
                      engine_opts={"n_workers": 2, "n_queues": 1}),
+    "threaded@2q": dict(engine="threaded",
+                        engine_opts={"n_workers": 2, "n_queues": 2}),
+    "threaded@3q": dict(engine="threaded",
+                        engine_opts={"n_workers": 2, "n_queues": 3}),
     "mp": dict(engine="mp", engine_opts={"n_workers": 2}),
     "corgi": dict(engine="corgi", engine_opts={}),
 }
-for _policy in POLICY_NAMES:
-    if _policy == "round-robin":
-        continue  # the base "threaded" row: default policy, 1 queue
-    ENGINES[f"threaded@{_policy}"] = dict(
-        engine="threaded",
-        engine_opts={
-            "n_workers": 2,
-            "n_queues": SAFE_QUEUE_MATRIX[_policy],
-            "policy": _policy,
-        },
-    )
-ENGINES["mp@affinity"] = dict(
-    engine="mp", engine_opts={"n_workers": 2, "policy": "affinity"}
-)
 
 #: Program name -> OPS5 source factory.  Sizes chosen so the whole
 #: matrix stays inside tier-1 time; "cube" is the cube-model generator
@@ -118,6 +99,7 @@ def run_engine(source: str, engine_name: str):
             "output": tuple(result.output),
             "halted": result.halted,
             "cycles": result.cycles,
+            "activations": interp.stats.node_activations,
         }
     finally:
         interp.close()

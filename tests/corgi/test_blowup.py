@@ -1,7 +1,7 @@
-"""The deep-chain blow-up, flipped: what stays an xfail for the
-threaded engine (tests/schedck/test_deep_chain.py) *passes* under
-corgi, because lazy join evaluation never materializes the
-intermediate partial-token chains the blow-up multiplies.
+"""The deep-chain case under corgi: the schedule that once blew up the
+threaded engine (tests/schedck/test_deep_chain.py) stays bounded
+under corgi, because lazy join evaluation never materializes the
+intermediate partial-token chains the blow-up multiplied.
 
 Three guards, in increasing ambition:
 
@@ -37,9 +37,9 @@ def fold(cs: Counter, deltas) -> None:
 
 
 def test_deep_chain_no_blowup_under_corgi():
-    """The flip of the pinned strict-xfail: under corgi the deep-chain
-    case stays within a constant factor of sequential Rete's match
-    work, and the conflict set agrees batch for batch."""
+    """Under corgi the deep-chain case stays within a constant factor
+    of sequential Rete's match work, and the conflict set agrees batch
+    for batch."""
     program, batches = deep_chain_case()
     compiled = parse_program(program)
     seq = SequentialMatcher(ReteNetwork.compile(compiled))
@@ -52,7 +52,7 @@ def test_deep_chain_no_blowup_under_corgi():
         assert +seq_cs == +corgi_cs
     # corgi counts every derived prefix where Rete counts only tokens
     # past the first join, so allow that bookkeeping factor — but no
-    # blow-up: the threaded engine's pinned schedule exceeds this.
+    # blow-up.
     assert corgi.stats.tokens_emitted <= 2 * seq.stats.tokens_emitted
 
 

@@ -124,6 +124,23 @@ class TestEngineFactory:
         with pytest.raises(ValueError, match="unknown engine"):
             make_matcher("warp", network)
 
+    @pytest.mark.parametrize("engine", ["threaded", "mp", "corgi"])
+    def test_recorder_needs_the_sequential_engine(self, engine):
+        """Only the sequential matcher records a task DAG; any other
+        engine would hand the simulator an empty trace, so a recorder
+        there is refused — at the factory and through the interpreter."""
+        from repro.rete.trace import TraceRecorder
+
+        program, network = compiled_network(FIND_COLORED_BLOCK)
+        with pytest.raises(ValueError, match="recorder requires the sequential"):
+            make_matcher(engine, network, recorder=TraceRecorder())
+        with pytest.raises(ValueError, match="recorder requires the sequential"):
+            Interpreter(program, engine=engine, recorder=TraceRecorder())
+        recorder = TraceRecorder()
+        interp = Interpreter(program, engine="sequential", recorder=recorder)
+        interp.run(max_cycles=100)
+        assert recorder.trace.tasks
+
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_factory_builds_each_engine(self, engine):
         _program, network = compiled_network(FIND_COLORED_BLOCK)

@@ -1,105 +1,89 @@
-"""Property and unit tests for the dispatch/placement policy registry.
+"""Property tests for the parallel engines' one placement and one dispatch.
 
-The policy contract has two halves, and each gets its own invariants:
+Each half has its own invariants:
 
-* **Placement** (``place_lines``, consumed pre-fork by the mp shard
-  map): must *partition* — every line exactly one owner, every owner
-  in range — for any ``(n_lines, n_workers)``, or a token line would
-  be orphaned or double-owned across processes.
-* **Dispatch** (``home_for``, consumed per-push by the threaded task
-  queues): must return an in-range queue for any observable queue
-  state, and must conserve work — whatever a policy does to *where*
-  tasks go, every pushed task is popped exactly once and the steal
-  counters account for exactly the pops that left their home queue.
-
-Plus the registry plumbing itself: unknown names fail loudly, policy
-instances pass through, and the safe-queue matrix covers the registry.
+* **Placement** (:class:`~repro.parallel.mp.shard.ShardMap`, built
+  pre-fork by the mp engine): the interleaved owner map ``line %
+  n_workers`` must *partition* — every line exactly one owner, every
+  owner in range — for any ``(n_lines, n_workers)``, or a token line
+  would be orphaned or double-owned across processes.
+* **Dispatch** (:meth:`~repro.parallel.taskqueue.TaskQueueSet.push`,
+  work stealing): must conserve work — every pushed task is popped
+  exactly once, whoever pushed it, and the steal counter accounts for
+  exactly the pops that left their home queue.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.parallel.policy import (
-    POLICY_NAMES,
-    SAFE_QUEUE_MATRIX,
-    Policy,
-    make_policy,
-    safe_queues,
-)
+from repro.parallel.mp.shard import ShardMap
 from repro.parallel.taskqueue import TaskQueueSet
 
 _n_lines = st.integers(min_value=1, max_value=2048)
 _n_workers = st.integers(min_value=1, max_value=9)
-_policy_names = st.sampled_from(POLICY_NAMES)
 
 
 class TestPlacementPartitions:
-    @given(policy=_policy_names, n_lines=_n_lines, n_workers=_n_workers)
+    @given(n_lines=_n_lines, n_workers=_n_workers)
     @settings(max_examples=200, deadline=None)
-    def test_every_line_exactly_one_owner_in_range(
-        self, policy, n_lines, n_workers
-    ):
-        owners = make_policy(policy).place_lines(n_lines, n_workers)
-        assert len(owners) == n_lines
-        assert all(0 <= o < n_workers for o in owners)
+    def test_every_line_exactly_one_owner_in_range(self, n_lines, n_workers):
+        shard = ShardMap(n_lines=n_lines, n_workers=n_workers)
+        owned = [set(shard.lines_owned(w)) for w in range(n_workers)]
+        for line in range(n_lines):
+            owner = shard.owner_of_line(line)
+            assert 0 <= owner < n_workers
+            assert [w for w in range(n_workers) if line in owned[w]] == [owner]
+        assert sum(len(o) for o in owned) == n_lines
 
-    @given(policy=_policy_names, n_lines=_n_lines, n_workers=_n_workers)
+    @given(n_lines=_n_lines, n_workers=_n_workers)
     @settings(max_examples=100, deadline=None)
-    def test_placement_is_pure(self, policy, n_lines, n_workers):
+    def test_placement_is_pure(self, n_lines, n_workers):
         """Placement is baked into every worker process pre-fork; if it
         were stateful the processes could disagree on ownership."""
-        a = make_policy(policy).place_lines(n_lines, n_workers)
-        b = make_policy(policy).place_lines(n_lines, n_workers)
-        assert a == b
+        a = ShardMap(n_lines=n_lines, n_workers=n_workers)
+        b = ShardMap(n_lines=n_lines, n_workers=n_workers)
+        assert [a.owner_of_line(x) for x in range(n_lines)] == [
+            b.owner_of_line(x) for x in range(n_lines)
+        ]
+        assert all(a.owner_of_line(x) == x % n_workers for x in range(n_lines))
 
     @given(n_lines=_n_lines, n_workers=_n_workers)
     @settings(max_examples=100, deadline=None)
     def test_placements_stay_balanced(self, n_lines, n_workers):
-        """Both placement shapes (interleaved and blocked) keep worker
-        loads within one line of each other — repartitioning to any
-        worker count never concentrates lines."""
-        for policy in POLICY_NAMES:
-            owners = make_policy(policy).place_lines(n_lines, n_workers)
-            counts = [owners.count(w) for w in range(n_workers)]
-            assert max(counts) - min(counts) <= 1, policy
+        """Worker loads stay within one line of each other, so
+        repartitioning to any worker count never concentrates lines."""
+        counts = ShardMap(n_lines=n_lines, n_workers=n_workers).lines_per_worker()
+        assert sum(counts) == n_lines
+        assert max(counts) - min(counts) <= 1
 
 
 class TestDispatchConservesWork:
     @given(
-        policy=_policy_names,
         n_queues=st.integers(min_value=1, max_value=5),
         n_workers=st.integers(min_value=1, max_value=4),
-        tasks=st.lists(
-            st.tuples(
-                st.one_of(st.none(), st.integers(min_value=0, max_value=63)),
-                st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
-            ),
+        pushers=st.lists(
+            st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
             max_size=60,
         ),
     )
     @settings(max_examples=200, deadline=None)
-    def test_no_task_dropped_or_duplicated(
-        self, policy, n_queues, n_workers, tasks
-    ):
-        """Drive a real TaskQueueSet through an arbitrary (line, pusher)
-        push sequence and a stealing drain: every task must come back
-        exactly once, and the counters must balance."""
-        pol = make_policy(policy)
+    def test_no_task_dropped_or_duplicated(self, n_queues, n_workers, pushers):
+        """Drive a real TaskQueueSet through an arbitrary push sequence
+        (worker pushes go home, control pushes deal round-robin) and a
+        stealing drain: every task comes back exactly once, and the
+        counters balance."""
         queues = TaskQueueSet(n_queues=n_queues)
-        for seq, (line, pusher) in enumerate(tasks):
-            pusher_id = None if pusher is None else pusher % n_workers
-            home = pol.home_for(line, pusher_id, seq, queues.views)
-            assert 0 <= home < n_queues
+        for seq, pusher in enumerate(pushers):
+            home = None if pusher is None else pusher % n_workers
             queues.push(("task", seq), home=home)
         popped = []
-        for i in range(len(tasks)):
-            task = queues.pop(home=i % n_queues, steal=pol.steals)
+        for i in range(len(pushers)):
+            task = queues.pop(home=i % n_workers)
             assert task is not None, "a pushed task was dropped"
             popped.append(task[1])
-        assert sorted(popped) == list(range(len(tasks)))
-        assert queues.pushed == queues.popped == len(tasks)
+        assert sorted(popped) == list(range(len(pushers)))
+        assert queues.pushed == queues.popped == len(pushers)
         assert 0 <= queues.stolen <= queues.popped
         assert len(queues) == 0
 
@@ -121,7 +105,7 @@ class TestDispatchConservesWork:
             queues.push(("task", i), home=victim)
         drain_home = (victim + 1) % n_queues
         for _ in range(n_tasks):
-            assert queues.pop(home=drain_home, steal=True)
+            assert queues.pop(home=drain_home)
         expected = 0 if drain_home == victim else n_tasks
         assert queues.stolen == expected
         assert queues.pushed == queues.popped == n_tasks
@@ -129,66 +113,26 @@ class TestDispatchConservesWork:
 
 class TestHomeForContract:
     @given(
-        policy=_policy_names,
-        line=st.one_of(st.none(), st.integers(min_value=0, max_value=10_000)),
-        pusher=st.one_of(st.none(), st.integers(min_value=0, max_value=8)),
-        seq=st.integers(min_value=0, max_value=100_000),
-        depths=st.lists(
-            st.integers(min_value=0, max_value=30), min_size=1, max_size=6
+        n_queues=st.integers(min_value=1, max_value=6),
+        pushers=st.lists(
+            st.one_of(st.none(), st.integers(min_value=0, max_value=8)),
+            min_size=1, max_size=40,
         ),
     )
     @settings(max_examples=300, deadline=None)
-    def test_home_always_in_range(self, policy, line, pusher, seq, depths):
-        views = [[("task", i)] * d for i, d in enumerate(depths)]
-        home = make_policy(policy).home_for(line, pusher, seq, views)
-        assert 0 <= home < len(depths)
-
-    def test_least_loaded_picks_a_shallowest_queue(self):
-        pol = make_policy("least-loaded")
-        views = [["t"] * 5, ["t"] * 2, ["t"] * 2, ["t"] * 9]
-        assert pol.home_for(None, None, 0, views) in (1, 2)
-
-    def test_affinity_keeps_a_line_on_one_queue(self):
-        pol = make_policy("affinity")
-        views = [[], [], []]
-        homes = {pol.home_for(17, p, s, views) for p in (0, 1, None)
-                 for s in range(10)}
-        assert len(homes) == 1
-
-    def test_rebalance_spills_only_hot_queues(self):
-        """The spill needs both conditions: absolute depth above
-        ``hot_depth`` AND at least twice the shallowest peer."""
-        pol = make_policy("rebalance")
-        line = 0
-        cold = [["t"] * 3, [], []]
-        home_cold = pol.home_for(line, 0, 0, cold)
-        assert pol.rebalances == 0
-        hot = [["t"] * 20, [], []]
-        hot[home_cold] = ["t"] * 20
-        spilled = pol.home_for(line, 0, 1, hot)
-        assert spilled != home_cold
-        assert pol.rebalances == 1
-        # The spill target is a shallowest queue, keeping twins close
-        # to each other rather than scattering them.
-        assert len(hot[spilled]) == 0
-
-
-class TestRegistry:
-    def test_unknown_policy_fails_loudly(self):
-        with pytest.raises(ValueError, match="round-robin"):
-            make_policy("fifo")
-
-    def test_instance_passes_through(self):
-        pol = make_policy("affinity")
-        assert make_policy(pol) is pol
-
-    def test_every_policy_has_a_safe_queue_count(self):
-        for name in POLICY_NAMES:
-            assert safe_queues(name) == SAFE_QUEUE_MATRIX[name] >= 1
-
-    def test_fresh_instances_have_zero_counters(self):
-        for name in POLICY_NAMES:
-            pol = make_policy(name)
-            assert isinstance(pol, Policy)
-            assert pol.rebalances == 0
-            assert pol.name == name
+    def test_home_always_in_range(self, n_queues, pushers):
+        """A worker's push lands on its own queue (mod n_queues); the
+        control process's pushes deal every queue in turn."""
+        queues = TaskQueueSet(n_queues=n_queues)
+        dealt = []
+        for pusher in pushers:
+            before = queues.depths()
+            queues.push("t", home=pusher)
+            grown = [i for i, (a, b) in enumerate(zip(before, queues.depths()))
+                     if b == a + 1]
+            assert len(grown) == 1
+            if pusher is None:
+                dealt.append(grown[0])
+            else:
+                assert grown[0] == pusher % n_queues
+        assert dealt == [(i + 1) % n_queues for i in range(len(dealt))]

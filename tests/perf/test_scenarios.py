@@ -28,7 +28,7 @@ class TestRegistryIntegrity:
         assert set(select("smoke")) == {
             "match-weaver", "sim-weaver", "parallel-weaver", "serve-loadgen",
             "mp-speedup-weaver", "corgi-adversarial", "fabric-mp",
-            "serve-meter", "policy-sweep",
+            "serve-meter",
         }
 
     def test_full_suite_superset_of_smoke(self):
@@ -101,30 +101,3 @@ class TestMetricSpec:
             MetricSpec("m", "s", "lower", -0.1)
         with pytest.raises(ValueError, match="negative tolerance"):
             MetricSpec("m", "s", "lower", 0.1, abs_tol=-1.0)
-
-
-class TestPolicySweep:
-    def test_covers_every_registered_policy(self):
-        """Registry-sync guard: a policy added to the dispatch registry
-        without a column in the sweep matrix fails here."""
-        from repro.parallel.policy import POLICY_NAMES
-
-        specs = {s.name for s in SCENARIOS["policy-sweep"].specs}
-        for policy in POLICY_NAMES:
-            key = policy.replace("-", "_")
-            assert f"{key}_speedup_1p7_8q" in specs
-            assert f"{key}_steals" in specs
-
-    def test_sweep_is_stable_only(self):
-        assert SCENARIOS["policy-sweep"].stable_only
-        assert SCENARIOS["policy-sweep-tourney"].stable_only
-
-    def test_work_stealing_column_is_the_legacy_simulation(self):
-        """The simulator always dispatched work-stealing-shaped (push
-        home, steal when dry); the policy axis must reproduce the
-        pre-policy numbers exactly in its work-stealing column."""
-        sweep = SCENARIOS["policy-sweep"].run().metrics
-        legacy = SCENARIOS["sim-weaver"].run().metrics
-        assert sweep["work_stealing_speedup_1p7_8q"] == pytest.approx(
-            legacy["speedup_1p7_8q"], rel=1e-12
-        )

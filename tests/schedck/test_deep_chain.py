@@ -1,34 +1,23 @@
-"""Executable regression for the documented deep-chain divergence.
+"""Regression for the former deep-chain divergence.
 
-DESIGN.md ("Known divergences") records that deep-chain rules under
-heavily out-of-order threaded execution suffer a *transient token
-blow-up*: when the ``-`` half of an in-flight modify is delayed past
-the ``+`` half, a join sees both the old and the new WME at once and
-multiplies combinations at every chain level.  Before the schedule
-harness this was prose; the pinned adversarial schedule below makes it
-an executable, deterministic fact.
+DESIGN.md ("Known divergences") once recorded a *transient token
+blow-up* on deep-chain rules under the threaded engine: when the ``-``
+half of an in-flight modify was delayed past the ``+`` half, a join saw
+both the old and the new WME at once and multiplied combinations at
+every chain level.  The engine now runs every batch's deletes to
+quiescence before its adds, so the pinned adversarial schedule below —
+delete halves delayed behind add halves, three workers racing on one
+queue — must do no more match work than the sequential engine.
 
-The test is ``xfail(strict=True)``: it MUST fail while the divergence
-exists, and will flag (XPASS) the day an engine change fixes it.
-See ISSUE 1 (deterministic schedule-exploration harness) for context.
-
-Note what still holds even under this schedule — and is asserted by
-the companion test: every *fixpoint* invariant (conflict-set equality,
-empty extra-deletes lists, token-memory census).  The blow-up is
-transient extra match work, not end-state corruption, which is exactly
-the paper's §3.2 claim boundary.
+Replay: ``python -m repro schedck --workload deep-chain --workers 3
+--policy adversarial:delay-deletes``.
 """
-
-import pytest
 
 from repro.schedck.runner import EngineConfig, run_schedule
 from repro.schedck.workloads import deep_chain_case
 
 #: The pinned schedule: delete halves of every modify delayed behind
-#: the add halves, three workers racing on one queue.  The workload is
-#: the registry's ``deep-chain`` fixture, so the failure replays as
-#: ``python -m repro schedck --workload deep-chain --workers 3
-#: --policy adversarial:delay-deletes``.
+#: the add halves, three workers racing on one queue.
 PINNED_SEED = 0
 PINNED_CONFIG = EngineConfig(n_workers=3, n_queues=1)
 PINNED_POLICY = "adversarial:delay-deletes"
@@ -45,30 +34,23 @@ def run_pinned():
     )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="deep-chain transient token blow-up under delayed deletes "
-    "(DESIGN.md 'Known divergences'; ISSUE 1)",
-)
 def test_deep_chain_no_transient_blowup():
-    """Transiently, the parallel engine must do no more match work than
-    the sequential engine — it does, while this xfails."""
+    """The parallel engine does no more match work than the sequential
+    engine, even with every delete scheduled as late as possible."""
     report = run_pinned()
     stats = dict(report.stats)
-    assert stats["tokens_emitted.par"] == stats["tokens_emitted.seq"]
+    assert stats["node_activations.par"] <= stats["node_activations.seq"]
+    assert stats["tokens_emitted.par"] <= stats["tokens_emitted.seq"]
 
 
 def test_deep_chain_fixpoint_invariants_still_hold():
-    """The blow-up is transient: at quiescence the conflict set, the
-    extra-deletes lists and the token census all still match."""
+    """At quiescence the conflict set, the extra-deletes lists and the
+    token census all match the sequential oracle."""
     report = run_pinned()
     assert report.ok, report.format()
     assert not report.truncated
 
 
-def test_blowup_is_deterministic():
-    """The pinned schedule reproduces the same blow-up, byte for byte —
-    this is what makes the divergence a regression test at all."""
+def test_report_is_deterministic():
+    """The pinned schedule replays byte for byte."""
     assert run_pinned().format() == run_pinned().format()
-    stats = dict(run_pinned().stats)
-    assert stats["tokens_emitted.par"] > stats["tokens_emitted.seq"]

@@ -1,39 +1,29 @@
-"""Deterministic reproduction of the multi-queue rubik livelock.
+"""Regression for the former multi-queue rubik livelock.
 
-The cross-engine conformance suite originally pinned the threaded
-engine to ``n_queues=1`` because rubik under multiple task queues
-stopped terminating: with LIFO queues and ``n_queues == n_workers``
-(every worker a dedicated home queue), the ``+``/``-`` halves of each
-conjugate pair land on different queues, a delayed delete half
-double-counts through every join level it lags, and the regenerated
-work re-splits the same way — amplification sustained at or above the
-annihilation rate.  That was a wall-clock observation (a hung pytest
-run); this file makes it an executable, deterministic fact, the way
-``test_deep_chain.py`` pinned the thread-schedule blow-up.
+The threaded engine once stopped terminating on rubik with multiple
+task queues: with LIFO queues and ``n_queues == n_workers`` (every
+worker a dedicated home queue) the ``+``/``-`` halves of each modify
+streamed apart, a delayed delete half double-counted through every join
+level it lagged, and the regenerated work re-split the same way.  The
+root cause was running a modify's two halves concurrently at all; the
+engine now runs every batch's deletes to quiescence before its adds.
 
-Three ingredients, all pinned:
+Three ingredients, all pinned, reproduce the old livelock's shape:
 
 * the ``conjugate-storm`` workload — rubik's match-phase shape
   distilled: a deep chain with a width-2 cross product per level,
   modified in one conjugate-heavy batch;
 * the ``burst:50`` schedule — timeslice emulation; long per-thread
-  runs are what sustain the amplification (uniform-random
-  interleaving annihilates pairs too quickly to diverge);
-* the livelock alignment ``n_workers=2, n_queues=2``.
+  runs were what sustained the amplification;
+* the alignment ``n_workers=2, n_queues=2``.
 
-Under round-robin dispatch the run never reaches quiescence inside a
-step budget more than double what the fixed twin needs; under
-``rebalance`` dispatch — same seed, same schedule, same workload, one
-knob changed — it completes with *less* match work than sequential.
-Round-robin off the alignment (1 or 3 queues) also completes, so the
-queue/worker alignment, not round-robin itself, is the trigger.
+Under all three the run must now finish inside the step budget with no
+more match work than sequential, at every queue count.
 
-Replay (first command exits 1 — truncated; second exits 0):
+Replay (exits 0):
 
     python -m repro schedck --workload conjugate-storm --policy burst:50 \
-        --workers 2 --queues 2 --dispatch round-robin --max-steps 150000
-    python -m repro schedck --workload conjugate-storm --policy burst:50 \
-        --workers 2 --queues 2 --dispatch rebalance --max-steps 150000
+        --workers 2 --queues 2 --max-steps 150000
 """
 
 import pytest
@@ -43,19 +33,16 @@ from repro.schedck.workloads import conjugate_storm_case
 
 PINNED_SEED = 0
 PINNED_SCHEDULE = "burst:50"
-#: Step budget: the rebalance twin finishes in ~72k steps; round-robin
-#: at the alignment is still amplifying past 230k.
+#: Step budget: the run finishes in ~23k steps; the livelocking
+#: engine was still amplifying past 230k.
 MAX_STEPS = 150_000
 
-NAIVE = EngineConfig(n_workers=2, n_queues=2, dispatch="round-robin")
-FIXED = EngineConfig(n_workers=2, n_queues=2, dispatch="rebalance")
 
-
-def run_pinned(config):
+def run_pinned(n_queues):
     program, batches = conjugate_storm_case()
     return run_schedule(
         PINNED_SEED,
-        config=config,
+        config=EngineConfig(n_workers=2, n_queues=n_queues),
         policy_spec=PINNED_SCHEDULE,
         program=program,
         batches=batches,
@@ -63,47 +50,47 @@ def run_pinned(config):
     )
 
 
-def test_naive_dispatch_livelocks_at_the_alignment():
-    """Round-robin at ``n_queues == n_workers`` exhausts a step budget
-    the fixed twin finishes half of, with the match work more than
-    doubled — liveness failure, not corruption: once the scheduler
-    gives up and lets the run free-run to quiescence, every fixpoint
-    invariant still holds (the paper's §3.2 claim boundary)."""
-    report = run_pinned(NAIVE)
-    assert report.truncated, report.format()
-    assert report.ok, report.format()
-    stats = dict(report.stats)
-    assert stats["tokens_emitted.par"] > 2 * stats["tokens_emitted.seq"]
-
-
-def test_rebalance_dispatch_fixes_the_livelock():
-    """Same seed, same schedule, same workload, same alignment — only
-    the dispatch policy differs — and the run completes well inside
-    the budget with less match work than sequential, because spilling
-    hot queues keeps conjugate twins from streaming apart."""
-    report = run_pinned(FIXED)
-    assert not report.truncated, report.format()
-    assert report.ok, report.format()
-    stats = dict(report.stats)
-    assert stats["tokens_emitted.par"] < 2 * stats["tokens_emitted.seq"]
-    # The fix was active, not incidental: the policy actually spilled.
-    assert dict(report.telemetry)["policy.rebalances"] > 0
-
-
 @pytest.mark.parametrize("n_queues", [1, 3])
-def test_alignment_not_round_robin_is_the_trigger(n_queues):
-    """The same naive dispatch completes when queues and workers are
-    NOT aligned: a single shared queue keeps twins in one LIFO stream,
-    and a spare queue (``n_queues > n_workers``) is serviced only by
-    steals, which re-mix the streams."""
-    config = EngineConfig(n_workers=2, n_queues=n_queues, dispatch="round-robin")
-    report = run_pinned(config)
+def test_conjugate_storm_completes_without_amplification(n_queues):
+    """One shared queue and a steal-only spare queue (off the old
+    livelock alignment) both finish untruncated, with every fixpoint
+    invariant holding and no more match work than the sequential
+    engine."""
+    report = run_pinned(n_queues)
     assert not report.truncated, report.format()
     assert report.ok, report.format()
+    stats = dict(report.stats)
+    assert stats["node_activations.par"] <= stats["node_activations.seq"]
+    assert stats["tokens_emitted.par"] <= stats["tokens_emitted.seq"]
+
+
+def test_alignment_completes_inside_half_the_step_budget():
+    """At ``n_queues == n_workers`` — where the old engine exhausted the
+    budget with the match work more than doubled — the run now finishes
+    in under half the budget, every invariant holding, with no more
+    match work than sequential."""
+    report = run_pinned(2)
+    assert not report.truncated, report.format()
+    assert report.ok, report.format()
+    assert report.steps < MAX_STEPS // 2, report.format()
+    stats = dict(report.stats)
+    assert stats["node_activations.par"] <= stats["node_activations.seq"]
+    assert stats["tokens_emitted.par"] <= stats["tokens_emitted.seq"]
+
+
+def test_deletes_first_split_keeps_conjugate_halves_apart():
+    """The fix is the batch split, not luck of the schedule: at the
+    alignment no add ever meets its conjugate delete in a memory (none
+    parked, none annihilated), and the match work is exactly that of
+    the one-queue run, so the queue layout no longer matters."""
+    aligned = dict(run_pinned(2).stats)
+    assert aligned["conjugate.parked"] == 0
+    assert aligned["conjugate.annihilated"] == 0
+    shared = dict(run_pinned(1).stats)
+    for key in ("node_activations.par", "tokens_emitted.par"):
+        assert aligned[key] == shared[key], key
 
 
 def test_livelock_is_deterministic():
-    """Both halves of the reproduction are byte-identical run to run —
-    what makes a livelock a regression test at all."""
-    assert run_pinned(NAIVE).format() == run_pinned(NAIVE).format()
-    assert run_pinned(FIXED).format() == run_pinned(FIXED).format()
+    """The pinned run at the old alignment replays byte for byte."""
+    assert run_pinned(2).format() == run_pinned(2).format()

@@ -26,6 +26,17 @@ class TestRunSchedule:
         report = run_schedule(5, config=config)
         assert report.ok, report.format()
 
+    def test_pinned_seed_parks_and_annihilates_conjugate_deletes(self):
+        """Nonvacuity guard: the two-phase batch split leaves conjugate
+        pairs to the extra-deletes lists (negation still produces
+        them), so the conjugate machinery must stay exercised — seed 4
+        parks deletes that later annihilate with their inserts."""
+        report = run_schedule(4)
+        assert report.ok, report.format()
+        stats = dict(report.stats)
+        assert stats["conjugate.parked"] >= 1
+        assert stats["conjugate.annihilated"] >= 1
+
     def test_pinned_program_requires_batches(self):
         with pytest.raises(ValueError):
             run_schedule(0, program="(p r (a) --> (halt))")

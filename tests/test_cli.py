@@ -384,8 +384,21 @@ class TestBench:
         lines = (tmp_path / "trajectory.jsonl").read_text().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["runid"] == "r1"
 
-    def test_unchanged_tree_compares_clean(self, tmp_path, capsys):
-        """Acceptance: two runs of the same tree -> no regressions."""
+    def test_unchanged_tree_compares_clean(self, tmp_path, capsys, monkeypatch):
+        """Acceptance: two runs of the same tree -> no regressions.
+
+        The matcher reads a fixed-step fake clock, so each wall metric
+        is a pure function of the work done (one step per clock read)
+        and the comparison is deterministic by construction; the real
+        noise gate is exercised by the perf-smoke CI job."""
+        import itertools
+
+        import repro.rete.matcher
+
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            repro.rete.matcher, "perf_counter", lambda: next(ticks) * 1e-3
+        )
         assert self.bench_run(tmp_path, "r1") == 0
         assert self.bench_run(tmp_path, "r2") == 0
         capsys.readouterr()
